@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"vortex/internal/schema"
 	"vortex/internal/sql"
@@ -151,9 +150,9 @@ func collectAggItems(st *sql.SelectStmt) []aggItem {
 }
 
 // accumRow folds one row into a partial group map — the leaf half of
-// the two-stage DAG, shared by the row-sharded and batch-sharded
-// partial builders. The row may be a reused scratch buffer: every
-// value read out of it is copied by value.
+// the two-stage DAG, shared by columnar and row-form batches. The row
+// may be a reused scratch buffer: every value read out of it is copied
+// by value.
 func accumRow(st *sql.SelectStmt, items []aggItem, groups map[string]*groupState, row schema.Row) error {
 	key, keyVals, err := groupKeyOf(st, row)
 	if err != nil {
@@ -183,56 +182,8 @@ func accumRow(st *sql.SelectStmt, items []aggItem, groups map[string]*groupState
 	return nil
 }
 
-// aggregate runs two-stage grouped aggregation over the filtered rows.
-func (e *Engine) aggregate(st *sql.SelectStmt, sc *schema.Schema, rows []schema.Row, res *Result) (*Result, error) {
-	aggItems := collectAggItems(st)
-
-	// Partial stage: shard the rows, build per-shard group maps.
-	shards := e.cfg.Shards
-	if shards > len(rows) {
-		shards = 1
-	}
-	partials := make([]map[string]*groupState, shards)
-	errs := make([]error, shards)
-	var wg sync.WaitGroup
-	chunk := (len(rows) + shards - 1) / shards
-	if chunk == 0 {
-		chunk = 1
-	}
-	for sh := 0; sh < shards; sh++ {
-		lo := sh * chunk
-		hi := lo + chunk
-		if lo > len(rows) {
-			lo = len(rows)
-		}
-		if hi > len(rows) {
-			hi = len(rows)
-		}
-		wg.Add(1)
-		go func(sh, lo, hi int) {
-			defer wg.Done()
-			groups := make(map[string]*groupState)
-			for _, row := range rows[lo:hi] {
-				if err := accumRow(st, aggItems, groups, row); err != nil {
-					errs[sh] = err
-					return
-				}
-			}
-			partials[sh] = groups
-			_ = sc
-		}(sh, lo, hi)
-	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, err
-		}
-	}
-	return finalizeAgg(st, aggItems, partials, res)
-}
-
 // finalizeAgg merges partial group maps and renders the output rows —
-// the final stage of the DAG, shared by both leaf shapes.
+// the final stage of the DAG.
 func finalizeAgg(st *sql.SelectStmt, aggItems []aggItem, partials []map[string]*groupState, res *Result) (*Result, error) {
 	for _, it := range st.Items {
 		res.Columns = append(res.Columns, itemName(it))

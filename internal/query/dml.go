@@ -56,10 +56,16 @@ func (e *Engine) execMutation(ctx context.Context, table meta.TableID, where sql
 	}()
 
 	res := &Result{Columns: []string{"rows_affected"}}
-	_, rows, err := e.scanTable(ctx, table, 0, nil, nil, &res.Stats)
+	batches, err := e.scanTable(ctx, table, 0, nil, nil, &res.Stats)
 	if err != nil {
 		return nil, err
 	}
+	// Masks address rows by provenance, so every row is decoded with it.
+	var rows []client.PosRow
+	for _, b := range batches {
+		rows = append(rows, b.PosRows()...)
+	}
+	res.Stats.RowsDecoded += int64(len(rows))
 	// DML over replacing change types would need per-key reasoning the
 	// engine does not implement; BigQuery similarly restricts DML on
 	// CDC-enabled tables.

@@ -35,10 +35,6 @@ type Config struct {
 	// MaxMaskRanges triggers mask coalescing with reinserted rows when a
 	// fragment's deletion mask would exceed this many ranges (§7.3).
 	MaxMaskRanges int
-	// DisableVectorized forces the row-at-a-time leaf path. The parity
-	// tests use it to prove the two paths agree; it is also the escape
-	// hatch if a vectorized plan misbehaves.
-	DisableVectorized bool
 }
 
 // Engine executes queries against one region.
@@ -48,6 +44,9 @@ type Engine struct {
 	net    rpc.Transport
 	router client.Router
 	cfg    Config
+	// leaf scans one assignment: Client.ScanBatch. It is a field so
+	// the parity tests can substitute a row-form leaf.
+	leaf func(context.Context, *client.ScanPlan, client.Assignment) (*client.ColBatch, error)
 }
 
 // New returns an Engine.
@@ -58,7 +57,7 @@ func New(c *client.Client, index *bigmeta.Index, net rpc.Transport, router clien
 	if cfg.MaxMaskRanges <= 0 {
 		cfg.MaxMaskRanges = 16
 	}
-	return &Engine{c: c, index: index, net: net, router: router, cfg: cfg}
+	return &Engine{c: c, index: index, net: net, router: router, cfg: cfg, leaf: c.ScanBatch}
 }
 
 // ExecStats reports how a statement executed.
@@ -85,8 +84,9 @@ type ExecStats struct {
 	// encoded space — a predicate decided once per dictionary entry or
 	// RLE run killed them without ever materializing a value.
 	// RowsDecoded counts rows that were actually materialized (per-row
-	// evaluated or gathered into output). On the row-at-a-time path
-	// every scanned row is decoded, so RowsDecoded == RowsScanned.
+	// evaluated or gathered into output). Rows that reach the engine in
+	// row form — WOS files, live tails, nested projections, and every
+	// row of a primary-keyed table or a join — all count as decoded.
 	RowsCodeSkipped int64
 	RowsDecoded     int64
 }
@@ -191,16 +191,21 @@ func (e *Engine) QueryAt(ctx context.Context, sqlText string, ts truetime.Timest
 	return nil, fmt.Errorf("query: unsupported statement %T", stmt)
 }
 
-// scanTable plans, prunes and scans a table snapshot in parallel.
-func (e *Engine) scanTable(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) (*client.ScanPlan, []client.PosRow, error) {
+// scanTable plans, prunes and scans a table snapshot in parallel — the
+// engine's one leaf stage. It returns one ColBatch per surviving
+// assignment, in assignment order: flat ROS fragments stay in their
+// encoded columnar form all the way to the predicate, everything else
+// arrives in row form inside the same envelope. Counters accumulate
+// into stats, so a join's two scans sum into one ExecStats.
+func (e *Engine) scanTable(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) ([]*client.ColBatch, error) {
 	plan, err := e.c.Plan(ctx, table, ts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	plan.Projection = projection
 	stats.SnapshotTS = plan.SnapshotTS
 	assignments := plan.Assignments
-	stats.AssignmentsTotal = len(assignments)
+	stats.AssignmentsTotal += len(assignments)
 
 	// Partition elimination (§7.2). Pruning is sound only when replacing
 	// change types cannot hide per-key state in pruned fragments, so it
@@ -216,61 +221,6 @@ func (e *Engine) scanTable(ctx context.Context, table meta.TableID, ts truetime.
 	// scanners, warming the disk tier (no-op without one).
 	cacheBefore := e.c.ReadCache().Stats()
 	e.c.Prefetch(assignments)
-	results := make([][]client.PosRow, len(assignments))
-	errs := make([]error, len(assignments))
-	sem := make(chan struct{}, e.cfg.Shards)
-	var wg sync.WaitGroup
-	for i, a := range assignments {
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(i int, a client.Assignment) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			results[i], errs[i] = e.c.ScanDetailed(ctx, plan, a)
-		}(i, a)
-	}
-	wg.Wait()
-	cacheAfter := e.c.ReadCache().Stats()
-	stats.CacheHits = cacheAfter.Hits - cacheBefore.Hits
-	stats.CacheMisses = cacheAfter.Misses - cacheBefore.Misses
-	stats.CacheBytesSaved = cacheAfter.BytesSaved - cacheBefore.BytesSaved
-	stats.DiskHits = cacheAfter.DiskHits - cacheBefore.DiskHits
-	stats.DiskMisses = cacheAfter.DiskMisses - cacheBefore.DiskMisses
-	stats.PrefetchFetched = cacheAfter.PrefetchFetched - cacheBefore.PrefetchFetched
-	var rows []client.PosRow
-	for i := range results {
-		if errs[i] != nil {
-			return nil, nil, errs[i]
-		}
-		rows = append(rows, results[i]...)
-	}
-	stats.RowsScanned = int64(len(rows))
-	stats.RowsDecoded += int64(len(rows))
-	return plan, rows, nil
-}
-
-// scanTableBatches is scanTable's vectorized twin: the leaf stage
-// returns per-assignment ColBatches instead of concatenated rows, so
-// flat ROS fragments stay in their encoded columnar form all the way
-// to the predicate. Batch order follows assignment order — the same
-// order scanTable concatenates in.
-func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts truetime.Timestamp, where sql.Expr, projection map[string]bool, stats *ExecStats) (*client.ScanPlan, []*client.ColBatch, error) {
-	plan, err := e.c.Plan(ctx, table, ts)
-	if err != nil {
-		return nil, nil, err
-	}
-	plan.Projection = projection
-	stats.SnapshotTS = plan.SnapshotTS
-	assignments := plan.Assignments
-	stats.AssignmentsTotal = len(assignments)
-	if where != nil && len(plan.Schema.PrimaryKey) == 0 {
-		var pruned int
-		assignments, pruned = PruneAssignments(e.index, table, plan.Schema, sql.ExtractPredicates(where), assignments)
-		stats.AssignmentsPruned += pruned
-	}
-
-	cacheBefore := e.c.ReadCache().Stats()
-	e.c.Prefetch(assignments)
 	batches := make([]*client.ColBatch, len(assignments))
 	errs := make([]error, len(assignments))
 	sem := make(chan struct{}, e.cfg.Shards)
@@ -281,24 +231,24 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 		go func(i int, a client.Assignment) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			batches[i], errs[i] = e.c.ScanBatch(ctx, plan, a)
+			batches[i], errs[i] = e.leaf(ctx, plan, a)
 		}(i, a)
 	}
 	wg.Wait()
 	cacheAfter := e.c.ReadCache().Stats()
-	stats.CacheHits = cacheAfter.Hits - cacheBefore.Hits
-	stats.CacheMisses = cacheAfter.Misses - cacheBefore.Misses
-	stats.CacheBytesSaved = cacheAfter.BytesSaved - cacheBefore.BytesSaved
-	stats.DiskHits = cacheAfter.DiskHits - cacheBefore.DiskHits
-	stats.DiskMisses = cacheAfter.DiskMisses - cacheBefore.DiskMisses
-	stats.PrefetchFetched = cacheAfter.PrefetchFetched - cacheBefore.PrefetchFetched
+	stats.CacheHits += cacheAfter.Hits - cacheBefore.Hits
+	stats.CacheMisses += cacheAfter.Misses - cacheBefore.Misses
+	stats.CacheBytesSaved += cacheAfter.BytesSaved - cacheBefore.BytesSaved
+	stats.DiskHits += cacheAfter.DiskHits - cacheBefore.DiskHits
+	stats.DiskMisses += cacheAfter.DiskMisses - cacheBefore.DiskMisses
+	stats.PrefetchFetched += cacheAfter.PrefetchFetched - cacheBefore.PrefetchFetched
 	for i := range batches {
 		if errs[i] != nil {
-			return nil, nil, errs[i]
+			return nil, errs[i]
 		}
 		stats.RowsScanned += int64(batches[i].NumVisible())
 	}
-	return plan, batches, nil
+	return batches, nil
 }
 
 // PruneAssignments applies Big Metadata partition elimination (§7.2) to
@@ -306,7 +256,7 @@ func (e *Engine) scanTableBatches(ctx context.Context, table meta.TableID, ts tr
 // inline fragment statistics) provably cannot match the predicates are
 // dropped. Undiscovered live tails are unprunable and always kept. It
 // returns the surviving assignments and the pruned count. Shared by the
-// query engine's scanTable and the read-session shard planner, so the
+// query engine's leaf stage and the read-session shard planner, so the
 // two paths cannot drift. Callers are responsible for the soundness
 // precondition: no pruning on primary-keyed tables.
 func PruneAssignments(index *bigmeta.Index, table meta.TableID, sc *schema.Schema, preds []bigmeta.Predicate, assignments []client.Assignment) ([]client.Assignment, int) {
@@ -383,24 +333,30 @@ func projectionOf(st *sql.SelectStmt, sc *schema.Schema) map[string]bool {
 	return proj
 }
 
-// resolveIfKeyed applies `_CHANGE_TYPE` replacement semantics when the
-// table has a primary key.
-func resolveIfKeyed(s *schema.Schema, rows []client.PosRow) []client.PosRow {
-	if len(s.PrimaryKey) == 0 {
-		return rows
+// leafRows flattens leaf batches into rows, decoding every visible
+// row, and applies `_CHANGE_TYPE` replacement semantics when the table
+// has a primary key: resolution needs every version of a key at once,
+// so keyed tables and join inputs leave the columnar form here.
+func leafRows(s *schema.Schema, batches []*client.ColBatch, stats *ExecStats) []schema.Row {
+	n := 0
+	for _, b := range batches {
+		n += b.NumVisible()
 	}
-	stamped := make([]rowenc.Stamped, len(rows))
-	bySeq := make(map[int64]client.PosRow, len(rows))
-	for i, r := range rows {
-		stamped[i] = r.Stamped
-		bySeq[r.Stamped.Seq] = r
+	stats.RowsDecoded += int64(n)
+	stamped := make([]rowenc.Stamped, 0, n)
+	for _, b := range batches {
+		for _, pr := range b.PosRows() {
+			stamped = append(stamped, pr.Stamped)
+		}
 	}
-	resolved := dml.ResolveChanges(s, stamped, true)
-	out := make([]client.PosRow, 0, len(resolved))
-	for _, r := range resolved {
-		out = append(out, bySeq[r.Seq])
+	if len(s.PrimaryKey) > 0 {
+		stamped = dml.ResolveChanges(s, stamped, true)
 	}
-	return out
+	rows := make([]schema.Row, len(stamped))
+	for i, r := range stamped {
+		rows[i] = r.Row
+	}
+	return rows
 }
 
 func (e *Engine) execSelect(ctx context.Context, st *sql.SelectStmt, ts truetime.Timestamp) (*Result, error) {
@@ -415,44 +371,14 @@ func (e *Engine) execSelect(ctx context.Context, st *sql.SelectStmt, ts truetime
 		return nil, err
 	}
 	res := &Result{}
-	proj := projectionOf(st, sc)
-	// Primary-keyed tables need per-row change resolution with full
-	// provenance, which only the row path provides.
-	if !e.cfg.DisableVectorized && len(sc.PrimaryKey) == 0 {
-		return e.execSelectVectorized(ctx, st, sc, ts, proj, res)
-	}
-	_, posRows, err := e.scanTable(ctx, meta.TableID(st.Table), ts, st.Where, proj, &res.Stats)
+	batches, err := e.scanTable(ctx, meta.TableID(st.Table), ts, st.Where, projectionOf(st, sc), &res.Stats)
 	if err != nil {
 		return nil, err
 	}
-	posRows = resolveIfKeyed(sc, posRows)
-
-	// Filter.
-	var rows []schema.Row
-	for _, pr := range posRows {
-		row := pr.Stamped.Row
-		if st.Where != nil {
-			v, err := sql.Eval(st.Where, row)
-			if err != nil {
-				return nil, err
-			}
-			if !sql.Truthy(v) {
-				continue
-			}
-		}
-		rows = append(rows, row)
+	if len(sc.PrimaryKey) > 0 {
+		return e.selectStages(st, sc, e.rowChunks(leafRows(sc, batches, &res.Stats)), res)
 	}
-
-	hasAgg := len(st.GroupBy) > 0
-	for _, it := range st.Items {
-		if _, ok := it.Expr.(*sql.Aggregate); ok {
-			hasAgg = true
-		}
-	}
-	if hasAgg {
-		return e.aggregate(st, sc, rows, res)
-	}
-	return e.project(st, sc, rows, res)
+	return e.selectStages(st, sc, leafInput(batches, &res.Stats), res)
 }
 
 // project emits plain (non-aggregate) select output.

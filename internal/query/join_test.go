@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"testing"
 
+	"vortex/internal/client"
 	"vortex/internal/query"
 	"vortex/internal/schema"
 	"vortex/internal/sql"
@@ -148,6 +149,73 @@ func TestJoinChangeResolution(t *testing.T) {
 	rows := res.Rows()
 	if len(rows) != 1 || rows[0][0].AsString() != "o1" || rows[0][1].AsString() != "UY" {
 		t.Fatalf("resolved join rows = %v", rows)
+	}
+}
+
+// TestJoinStatsSumBothScans: a join's ExecStats carry both leaf scans.
+// On a warm read cache every counter of the joined query must equal the
+// sum of the two single-table full scans at the same snapshot.
+func TestJoinStatsSumBothScans(t *testing.T) {
+	e := newJoinEnv(t)
+	var orders []schema.Row
+	for i := 0; i < 40; i++ {
+		orders = append(orders, orderRow(fmt.Sprintf("o%d", i), fmt.Sprintf("c%d", i%5), int64(i), schema.ChangeUpsert))
+	}
+	e.seal(t, "shop.orders", orders)
+	var customers []schema.Row
+	for i := 0; i < 5; i++ {
+		customers = append(customers, customerRow(fmt.Sprintf("c%d", i), "CL", schema.ChangeUpsert))
+	}
+	e.seal(t, "shop.customers", customers)
+	if _, err := e.opt.ConvertTable(e.ctx, "shop.orders"); err != nil {
+		t.Fatal(err)
+	}
+
+	opts := client.DefaultOptions()
+	opts.ReadCacheBytes = 32 << 20
+	eng := query.New(e.r.NewClient(opts), e.r.BigMeta, e.r.Net, e.r.Router(), query.Config{})
+	const join = `SELECT c.country, COUNT(*) FROM shop.orders o
+		JOIN shop.customers c ON o.customerKey = c.customerKey GROUP BY c.country`
+	if _, err := eng.Query(e.ctx, join); err != nil { // warm the read cache
+		t.Fatal(err)
+	}
+	res, err := eng.Query(e.ctx, join)
+	if err != nil {
+		t.Fatal(err)
+	}
+	j := res.Stats
+	if got := res.Rows(); len(got) != 1 || got[0][1].AsInt64() != 40 {
+		t.Fatalf("join rows = %v", got)
+	}
+	l, err := eng.QueryAt(e.ctx, "SELECT * FROM shop.orders", j.SnapshotTS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	r, err := eng.QueryAt(e.ctx, "SELECT * FROM shop.customers", j.SnapshotTS)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.CacheHits == 0 || j.CacheBytesSaved == 0 {
+		t.Fatalf("warm join saw no cache hits: %+v", j)
+	}
+	for _, c := range []struct {
+		name         string
+		join, single int64
+	}{
+		{"AssignmentsTotal", int64(j.AssignmentsTotal), int64(l.Stats.AssignmentsTotal + r.Stats.AssignmentsTotal)},
+		{"AssignmentsPruned", int64(j.AssignmentsPruned), int64(l.Stats.AssignmentsPruned + r.Stats.AssignmentsPruned)},
+		{"RowsScanned", j.RowsScanned, l.Stats.RowsScanned + r.Stats.RowsScanned},
+		{"RowsDecoded", j.RowsDecoded, l.Stats.RowsDecoded + r.Stats.RowsDecoded},
+		{"CacheHits", j.CacheHits, l.Stats.CacheHits + r.Stats.CacheHits},
+		{"CacheMisses", j.CacheMisses, l.Stats.CacheMisses + r.Stats.CacheMisses},
+		{"CacheBytesSaved", j.CacheBytesSaved, l.Stats.CacheBytesSaved + r.Stats.CacheBytesSaved},
+		{"DiskHits", j.DiskHits, l.Stats.DiskHits + r.Stats.DiskHits},
+		{"DiskMisses", j.DiskMisses, l.Stats.DiskMisses + r.Stats.DiskMisses},
+		{"PrefetchFetched", j.PrefetchFetched, l.Stats.PrefetchFetched + r.Stats.PrefetchFetched},
+	} {
+		if c.join != c.single {
+			t.Errorf("%s: join %d, single-table scans sum to %d", c.name, c.join, c.single)
+		}
 	}
 }
 

@@ -47,7 +47,7 @@ type qenv struct {
 	r      *core.Region
 	c      *client.Client
 	eng    *query.Engine
-	rowEng *query.Engine // row-at-a-time twin for parity checking
+	rowEng *query.Engine // row-form leaf: the parity oracle
 	opt    *optimizer.Optimizer
 	ctx    context.Context
 }
@@ -61,7 +61,8 @@ func newQEnv(t testing.TB, s *schema.Schema, table meta.TableID) *qenv {
 		t.Fatal(err)
 	}
 	eng := query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{MaxMaskRanges: 4})
-	rowEng := query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{MaxMaskRanges: 4, DisableVectorized: true})
+	rowEng := query.New(c, r.BigMeta, r.Net, r.Router(), query.Config{MaxMaskRanges: 4})
+	query.UseRowFormLeaf(rowEng)
 	ocfg := optimizer.DefaultConfig()
 	opt := optimizer.New(ocfg, c, r.Net, r.Router(), r.Colossus, r.Clock)
 	return &qenv{r: r, c: c, eng: eng, rowEng: rowEng, opt: opt, ctx: ctx}
@@ -106,10 +107,11 @@ func (e *qenv) seal(t testing.TB, table meta.TableID, rows []schema.Row) {
 	e.r.HeartbeatAll(e.ctx, false)
 }
 
-// mustQuery executes sqlText on the vectorized engine and, for
-// SELECTs, re-executes it at the same snapshot on a row-at-a-time
-// engine, failing unless the two paths and the batch/row views of the
-// result all agree. Every query in this file is thereby a parity case.
+// mustQuery executes sqlText on the engine and, for SELECTs,
+// re-executes it at the same snapshot on an engine whose leaf hands
+// every batch over in row form, failing unless the columnar and
+// row-form pipelines and the batch/row views of the result all agree.
+// Every query in this file is thereby a parity case.
 func (e *qenv) mustQuery(t testing.TB, sqlText string) *query.Result {
 	t.Helper()
 	res, err := e.eng.Query(e.ctx, sqlText)
@@ -119,15 +121,15 @@ func (e *qenv) mustQuery(t testing.TB, sqlText string) *query.Result {
 	if strings.HasPrefix(strings.ToUpper(strings.TrimSpace(sqlText)), "SELECT") {
 		want, err := e.rowEng.QueryAt(e.ctx, sqlText, res.Stats.SnapshotTS)
 		if err != nil {
-			t.Fatalf("row-path query %q: %v", sqlText, err)
+			t.Fatalf("row-form query %q: %v", sqlText, err)
 		}
 		assertParity(t, sqlText, res, want)
 	}
 	return res
 }
 
-// assertParity checks vectorized-vs-row results match and that the
-// columnar and row views of the vectorized result describe the same
+// assertParity checks columnar-vs-row-form results match and that the
+// columnar and row views of the columnar result describe the same
 // data.
 func assertParity(t testing.TB, sqlText string, got, want *query.Result) {
 	t.Helper()
@@ -136,7 +138,7 @@ func assertParity(t testing.TB, sqlText string, got, want *query.Result) {
 	}
 	gr, wr := got.Rows(), want.Rows()
 	if len(gr) != len(wr) {
-		t.Fatalf("parity %q: %d rows vectorized, %d row-path", sqlText, len(gr), len(wr))
+		t.Fatalf("parity %q: %d rows columnar, %d row-form", sqlText, len(gr), len(wr))
 	}
 	for i := range wr {
 		if fmt.Sprint(gr[i]) != fmt.Sprint(wr[i]) {
@@ -482,12 +484,105 @@ func TestVectorizedCodeSkipStats(t *testing.T) {
 		t.Fatalf("selective scan decoded every row: %+v", st)
 	}
 
-	// The row path decodes everything and skips nothing in code space.
+	// A row-form leaf decodes everything and skips nothing in code space.
 	rres, err := e.rowEng.Query(e.ctx, "SELECT salesOrderKey FROM d.skip WHERE customerKey = 'C-1'")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if rres.Stats.RowsCodeSkipped != 0 || rres.Stats.RowsDecoded != rres.Stats.RowsScanned {
-		t.Fatalf("row-path stats wrong: %+v", rres.Stats)
+		t.Fatalf("row-form stats wrong: %+v", rres.Stats)
 	}
+}
+
+// TestKeyedQueryOverROS: a primary-keyed table with UPSERT/DELETE churn
+// resolves to the same rows after optimizer conversion as before it,
+// so `_CHANGE_TYPE` resolution over columnar ROS batches agrees with
+// resolution over WOS rows — and with a Go model of the churn, also
+// once fresh WOS changes supersede converted ROS rows.
+func TestKeyedQueryOverROS(t *testing.T) {
+	const table = "d.keyedros"
+	e := newQEnv(t, salesSchema(true), table)
+	model := map[string]schema.Row{}
+	apply := func(rows []schema.Row) {
+		for _, r := range rows {
+			key := r.Values[1].AsString()
+			if r.Change == schema.ChangeDelete {
+				delete(model, key)
+			} else {
+				model[key] = r
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		var rows []schema.Row
+		for i := 0; i < 40; i++ {
+			ch := schema.ChangeUpsert
+			if (i+round)%7 == 0 && round > 0 {
+				ch = schema.ChangeDelete
+			}
+			rows = append(rows, saleRow(0, i, fmt.Sprintf("C-%d", (i+round)%4), int64(i*10+round)).WithChange(ch))
+		}
+		e.seal(t, table, rows)
+		apply(rows)
+	}
+
+	queries := []string{
+		"SELECT * FROM d.keyedros ORDER BY salesOrderKey",
+		"SELECT salesOrderKey, totalSale FROM d.keyedros",
+		"SELECT customerKey, COUNT(*), SUM(totalSale) FROM d.keyedros GROUP BY customerKey ORDER BY customerKey",
+		"SELECT salesOrderKey FROM d.keyedros WHERE customerKey = 'C-1' AND qty >= 10",
+	}
+	run := func() []string {
+		var out []string
+		for _, q := range queries {
+			out = append(out, fmt.Sprint(e.mustQuery(t, q).Rows()))
+		}
+		return out
+	}
+	checkModel := func(when string) {
+		res := e.mustQuery(t, "SELECT salesOrderKey, totalSale, customerKey FROM d.keyedros ORDER BY salesOrderKey")
+		if len(res.Rows()) != len(model) {
+			t.Fatalf("%s: %d resolved rows, model has %d", when, len(res.Rows()), len(model))
+		}
+		for _, got := range res.Rows() {
+			want, ok := model[got[0].AsString()]
+			if !ok || fmt.Sprint(got[1], got[2]) != fmt.Sprint(want.Values[3], want.Values[2]) {
+				t.Fatalf("%s: row %v, model %v", when, got, want)
+			}
+		}
+	}
+	checkModel("before conversion")
+	before := run()
+
+	if _, err := e.opt.ConvertTable(e.ctx, table); err != nil {
+		t.Fatal(err)
+	}
+	plan, err := e.c.Plan(e.ctx, table, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range plan.Assignments {
+		if a.Frag.Format != meta.ROS {
+			t.Fatalf("assignment %s still %v after conversion", a.Frag.ID, a.Frag.Format)
+		}
+	}
+	after := run()
+	for i := range queries {
+		if before[i] != after[i] {
+			t.Fatalf("%q changed across conversion:\nbefore: %s\nafter:  %s", queries[i], before[i], after[i])
+		}
+	}
+	checkModel("after conversion")
+
+	// Fresh WOS changes supersede converted ROS rows: an upsert and a
+	// delete of live keys, and the reinsertion of a key round 2 deleted.
+	fresh := []schema.Row{
+		saleRow(0, 3, "C-9", 777).WithChange(schema.ChangeUpsert),
+		saleRow(0, 4, "C-9", 0).WithChange(schema.ChangeDelete),
+		saleRow(0, 5, "C-9", 555).WithChange(schema.ChangeUpsert),
+	}
+	e.ingest(t, table, fresh)
+	apply(fresh)
+	checkModel("after fresh WOS changes")
+	run() // parity over the ROS + WOS mix
 }

@@ -7,14 +7,11 @@
 package query
 
 import (
-	"context"
 	"sync"
 
 	"vortex/internal/client"
-	"vortex/internal/meta"
 	"vortex/internal/schema"
 	"vortex/internal/sql"
-	"vortex/internal/truetime"
 	"vortex/internal/wire"
 )
 
@@ -177,8 +174,11 @@ func (p *VecPredicate) Apply(b *client.ColBatch) (wire.Selection, wire.FilterSta
 	return out, fs, nil
 }
 
-// filteredBatch is one leaf batch after predicate evaluation: either a
-// columnar batch with its surviving selection, or row-form survivors.
+// filteredBatch is one batch flowing through the SELECT stages:
+// either a columnar leaf batch with its surviving selection, or rows
+// in row form (WOS and live-tail leaf rows, change-resolved rows,
+// joined rows). Row-form rows are owned by the pipeline, so the filter
+// stage compacts them in place.
 type filteredBatch struct {
 	b    *client.ColBatch
 	sel  wire.Selection
@@ -186,18 +186,18 @@ type filteredBatch struct {
 }
 
 func (f *filteredBatch) count() int {
-	if f.b != nil && f.b.Columnar() {
-		if f.sel == nil {
-			return f.b.NumRows
-		}
-		return len(f.sel)
+	if f.b == nil {
+		return len(f.rows)
 	}
-	return len(f.rows)
+	if f.sel == nil {
+		return f.b.NumRows
+	}
+	return len(f.sel)
 }
 
 // materialize appends the surviving rows in full-arity row form.
 func (f *filteredBatch) materialize(dst []schema.Row) []schema.Row {
-	if f.b == nil || !f.b.Columnar() {
+	if f.b == nil {
 		return append(dst, f.rows...)
 	}
 	b := f.b
@@ -223,49 +223,72 @@ func (f *filteredBatch) materialize(dst []schema.Row) []schema.Row {
 	return dst
 }
 
-// execSelectVectorized is the batch-native SELECT path for tables
-// without a primary key. The leaf stage scans ColBatches, the
-// predicate narrows selection vectors in code space, and output either
-// streams straight out as record batches (flat projections) or feeds
-// the shared aggregation/projection stages.
-func (e *Engine) execSelectVectorized(ctx context.Context, st *sql.SelectStmt, sc *schema.Schema, ts truetime.Timestamp, proj map[string]bool, res *Result) (*Result, error) {
-	_, batches, err := e.scanTableBatches(ctx, meta.TableID(st.Table), ts, st.Where, proj, &res.Stats)
-	if err != nil {
-		return nil, err
-	}
-	var pred *VecPredicate
-	if st.Where != nil {
-		pred = CompileVecPredicate(st.Where)
-	}
-
-	filtered := make([]filteredBatch, 0, len(batches))
+// leafInput turns a keyless table's leaf batches into pipeline input:
+// columnar batches pass through untouched, row-form batches hand over
+// their (already decoded) rows.
+func leafInput(batches []*client.ColBatch, stats *ExecStats) []filteredBatch {
+	in := make([]filteredBatch, 0, len(batches))
 	for _, b := range batches {
 		if b.Columnar() {
-			sel, fs, err := pred.Apply(b)
+			in = append(in, filteredBatch{b: b})
+			continue
+		}
+		stats.RowsDecoded += int64(len(b.Rows))
+		rows := make([]schema.Row, len(b.Rows))
+		for i, pr := range b.Rows {
+			rows[i] = pr.Stamped.Row
+		}
+		in = append(in, filteredBatch{rows: rows})
+	}
+	return in
+}
+
+// rowChunks splits row-form input into cfg.Shards batches, so partial
+// aggregation stays parallel over rows that left the columnar form.
+func (e *Engine) rowChunks(rows []schema.Row) []filteredBatch {
+	chunk := (len(rows) + e.cfg.Shards - 1) / e.cfg.Shards
+	var in []filteredBatch
+	for lo := 0; lo < len(rows); lo += chunk {
+		hi := min(lo+chunk, len(rows))
+		in = append(in, filteredBatch{rows: rows[lo:hi:hi]})
+	}
+	return in
+}
+
+// selectStages is the one pipeline every SELECT runs above its leaf —
+// keyless, keyed and joined alike. The predicate narrows columnar
+// selection vectors in code space and filters row-form batches row at
+// a time; survivors then feed partial/final aggregation, stream
+// straight out as record batches (flat projections), or go through
+// the row projection stage (ORDER BY, computed items).
+func (e *Engine) selectStages(st *sql.SelectStmt, sc *schema.Schema, in []filteredBatch, res *Result) (*Result, error) {
+	pred := CompileVecPredicate(st.Where)
+	for i := range in {
+		f := &in[i]
+		if f.b != nil {
+			sel, fs, err := pred.Apply(f.b)
 			if err != nil {
 				return nil, err
 			}
 			res.Stats.RowsCodeSkipped += fs.PrunedByCode
-			res.Stats.RowsDecoded += int64(b.NumVisible()) - fs.PrunedByCode
-			filtered = append(filtered, filteredBatch{b: b, sel: sel})
+			res.Stats.RowsDecoded += int64(f.b.NumVisible()) - fs.PrunedByCode
+			f.sel = sel
 			continue
 		}
-		res.Stats.RowsDecoded += int64(len(b.Rows))
-		kept := make([]schema.Row, 0, len(b.Rows))
-		for _, pr := range b.Rows {
-			row := pr.Stamped.Row
-			if st.Where != nil {
-				v, err := sql.Eval(st.Where, row)
-				if err != nil {
-					return nil, err
-				}
-				if !sql.Truthy(v) {
-					continue
-				}
-			}
-			kept = append(kept, row)
+		if st.Where == nil {
+			continue
 		}
-		filtered = append(filtered, filteredBatch{rows: kept})
+		kept := f.rows[:0]
+		for _, row := range f.rows {
+			v, err := sql.Eval(st.Where, row)
+			if err != nil {
+				return nil, err
+			}
+			if sql.Truthy(v) {
+				kept = append(kept, row)
+			}
+		}
+		f.rows = kept
 	}
 
 	hasAgg := len(st.GroupBy) > 0
@@ -275,22 +298,20 @@ func (e *Engine) execSelectVectorized(ctx context.Context, st *sql.SelectStmt, s
 		}
 	}
 	if hasAgg {
-		return e.aggregateVec(st, filtered, res)
+		return e.aggregateVec(st, in, res)
 	}
 	if len(st.OrderBy) == 0 && directEmitOK(st) {
-		return emitDirect(st, sc, filtered, res)
+		return emitDirect(st, sc, in, res)
 	}
-	// ORDER BY or computed items: materialize survivors and reuse the
-	// shared projection stage.
 	var rows []schema.Row
-	for i := range filtered {
-		rows = filtered[i].materialize(rows)
+	for i := range in {
+		rows = in[i].materialize(rows)
 	}
 	return e.project(st, sc, rows, res)
 }
 
-// aggregateVec builds one partial group map per leaf batch in parallel
-// and merges them — aggregation consuming batches per shard.
+// aggregateVec builds one partial group map per batch in parallel and
+// merges them — aggregation consuming batches per shard.
 func (e *Engine) aggregateVec(st *sql.SelectStmt, filtered []filteredBatch, res *Result) (*Result, error) {
 	aggItems := collectAggItems(st)
 	partials := make([]map[string]*groupState, len(filtered))
@@ -305,7 +326,7 @@ func (e *Engine) aggregateVec(st *sql.SelectStmt, filtered []filteredBatch, res 
 			defer func() { <-sem }()
 			f := &filtered[i]
 			groups := make(map[string]*groupState)
-			if f.b != nil && f.b.Columnar() {
+			if f.b != nil {
 				b := f.b
 				scratch := make([]schema.Value, b.Arity)
 				for k := range scratch {
@@ -407,7 +428,7 @@ func emitDirect(st *sql.SelectStmt, sc *schema.Schema, filtered []filteredBatch,
 			n = int(remaining)
 		}
 		rb := &wire.RecordBatch{NumRows: n}
-		if f.b != nil && f.b.Columnar() {
+		if f.b != nil {
 			b := f.b
 			sel := f.sel
 			if int(selLenFor(b, sel)) > n {

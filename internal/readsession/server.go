@@ -61,8 +61,7 @@ type Server struct {
 	index *bigmeta.Index // may be nil: planning falls back to inline fragment stats
 	clock truetime.Clock
 
-	batchRows  int
-	vectorized bool
+	batchRows int
 
 	sessions metrics.Counter
 	batches  metrics.Counter
@@ -123,14 +122,13 @@ func NewServer(addr string, c *client.Client, index *bigmeta.Index, clock trueti
 		addr = DefaultAddr
 	}
 	s := &Server{
-		addr:       addr,
-		net:        c.Network(),
-		c:          c,
-		index:      index,
-		clock:      clock,
-		batchRows:  defaultBatchRows,
-		vectorized: true,
-		open:       make(map[string]*session),
+		addr:      addr,
+		net:       c.Network(),
+		c:         c,
+		index:     index,
+		clock:     clock,
+		batchRows: defaultBatchRows,
+		open:      make(map[string]*session),
 	}
 	srv := rpc.NewServer()
 	srv.RegisterUnary(wire.MethodOpenReadSession, s.handleOpen)
@@ -177,11 +175,6 @@ func (s *Server) SetBatchRows(n int) {
 		s.batchRows = n
 	}
 }
-
-// SetVectorized toggles the columnar serving path (on by default).
-// Off, every assignment is scanned row-at-a-time and re-encoded —
-// the baseline the vectorized-vs-row benchmark mode compares against.
-func (s *Server) SetVectorized(on bool) { s.vectorized = on }
 
 // parseWhere parses and resolves a predicate string against the table
 // schema by wrapping it in a synthetic SELECT.
@@ -431,8 +424,7 @@ func (s *Server) handleSplit(_ context.Context, req any) (any, error) {
 }
 
 // filterRows applies the session's pushed-down predicate row-at-a-time
-// — the non-vectorized filter, shared by WOS scans and the baseline
-// serving mode.
+// to a row-form batch (WOS files, live tails, nested projections).
 func filterRows(where sql.Expr, rows []client.PosRow) ([]client.PosRow, error) {
 	if where == nil {
 		return rows, nil
@@ -497,23 +489,12 @@ func (sv *served) encode(plan *client.ScanPlan, lo, hi int) []byte {
 }
 
 // scanServed runs the leaf scan for one assignment and stages it for
-// serving. On the vectorized path immutable ROS fragments stay in the
-// cache's encoded vectors end to end: the predicate narrows the
-// selection in code space (once per dictionary entry, once per run),
-// so rows a DICT code or RLE run kills never materialize a value —
-// not at filter time and not at encode time.
+// serving. Immutable ROS fragments stay in the cache's encoded vectors
+// end to end: the predicate narrows the selection in code space (once
+// per dictionary entry, once per run), so rows a DICT code or RLE run
+// kills never materialize a value — not at filter time and not at
+// encode time. Row-form batches are filtered row at a time.
 func (s *Server) scanServed(ctx context.Context, sess *session, a client.Assignment) (*served, error) {
-	if !s.vectorized {
-		rows, err := s.c.ScanDetailed(ctx, sess.plan, a)
-		if err != nil {
-			return nil, err
-		}
-		scanned := len(rows)
-		if rows, err = filterRows(sess.where, rows); err != nil {
-			return nil, err
-		}
-		return &served{rows: filterMinSeq(sess.minSeq, rows), decoded: int64(scanned)}, nil
-	}
 	cb, err := s.c.ScanBatch(ctx, sess.plan, a)
 	if err != nil {
 		return nil, err

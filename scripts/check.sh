@@ -47,9 +47,10 @@ go test -race -count=2 ./internal/rpc/
 go test -short ./internal/bench/
 
 # Vectorized execution smoke: code-skip accounting in the query engine
-# and columnar-vs-row serving parity in the read-session server — the
-# fast end-to-end proof that encoded-domain filtering still matches the
-# row path bit for bit.
+# (against a row-form leaf) and columnar serving parity in the
+# read-session server (against a plain snapshot read) — the fast
+# end-to-end proof that encoded-domain filtering still keeps exactly
+# the rows a row-at-a-time evaluation keeps.
 go test -short -count=1 -run 'TestVectorized' ./internal/query/ ./internal/readsession/
 
 # Fanout overload smoke: the -short variant of the massive-fanout

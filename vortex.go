@@ -463,17 +463,14 @@ func (db *DB) OpenReadSession(ctx context.Context, table TableID, opts ReadSessi
 	return readsession.Dial(db.c, "").Open(ctx, table, opts)
 }
 
-// ReadSessionStats snapshots the client-wide read-session counters
-// (batches, bytes, splits, resumes) accumulated across all sessions
-// opened from this DB.
-func (db *DB) ReadSessionStats() ClientMetrics { return db.c.Metrics() }
-
 // Chaos returns the fault-injection schedule the DB was opened with
 // (nil when none).
 func (db *DB) Chaos() *ChaosSchedule { return db.Region.Chaos() }
 
-// ClientMetrics snapshots the client's resilience counters (retries,
-// rotations, hedges, append latency).
+// ClientMetrics snapshots the client's counters: resilience (retries,
+// rotations, hedges, append latency) and the read-session counters
+// (batches, bytes, splits, resumes) accumulated across all sessions
+// opened from this DB.
 func (db *DB) ClientMetrics() ClientMetrics { return db.c.Metrics() }
 
 // IngestStats snapshots the region's overload-protection counters:
